@@ -24,6 +24,10 @@ cargo run -q -p sigma-lint -- --sarif > /tmp/sigma_lint.sarif
 cargo test -q -p sigma-lint
 cargo build --workspace --release
 cargo test --workspace -q
+# Oracle parity at paper scale: the row-wise sparse reference product must
+# equal the dense loop bit for bit on the 1024^3 50%/20% GEMM. Release
+# only — the dense loop takes minutes in a debug build.
+cargo test --release -q -p sigma-matrix -- --ignored
 cargo run -q -p sigma-bench --bin fault_campaign -- --smoke --quiet
 # Crash-safety gate: SIGKILL a journaled child sweep at seeded cell
 # counts, resume from the surviving journal, and demand the final

@@ -425,13 +425,14 @@ impl Engine for GpuEngine {
             pes: V100_CUDA_CORES as u64,
             ..CycleStats::default()
         };
-        Ok(EngineRun::new(a.to_dense().matmul(&b.to_dense()), stats))
+        Ok(EngineRun::new(a.try_matmul(b)?, stats))
     }
 }
 
 /// Adapts any analytic [`GemmAccelerator`] into an [`Engine`]: the cycle
 /// model runs on the operands' measured shape/densities, and the numeric
-/// product comes from the reference GEMM (analytic models move no data).
+/// product comes from the sparse reference GEMM (analytic models move no
+/// data).
 #[derive(Debug, Clone)]
 pub struct AnalyticEngine<A> {
     inner: A,
@@ -463,7 +464,7 @@ impl<A: GemmAccelerator + Send + Sync> Engine for AnalyticEngine<A> {
     fn run(&self, a: &SparseMatrix, b: &SparseMatrix) -> Result<EngineRun, EngineError> {
         check_dims(a, b)?;
         let stats = self.inner.simulate(&problem_of(a, b));
-        Ok(EngineRun::new(a.to_dense().matmul(&b.to_dense()), stats))
+        Ok(EngineRun::new(a.try_matmul(b)?, stats))
     }
 }
 

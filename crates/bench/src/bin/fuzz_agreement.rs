@@ -47,7 +47,13 @@ fn main() {
         let seed = rng();
         let a = sparse_uniform(m, k, Density::new(da).unwrap(), seed);
         let b = sparse_uniform(k, n, Density::new(db).unwrap(), seed ^ 0xf00d);
-        let reference = a.to_dense().matmul(&b.to_dense());
+        let reference = match a.try_matmul(&b) {
+            Ok(reference) => reference,
+            Err(e) => {
+                eprintln!("ERROR iter {i}: {m}x{k}x{n} seed={seed} reference: {e}");
+                std::process::exit(1);
+            }
+        };
         let tol = 1e-3 * k as f32;
         for entry in &fleet {
             let run = match entry.engine.run(&a, &b) {

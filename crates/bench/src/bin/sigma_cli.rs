@@ -310,8 +310,9 @@ fn run_engine(args: &Args) -> i32 {
     let (a, b) = materialize(&p, args.seed);
     match engine.run(&a, &b) {
         Ok(run) => {
-            let reference = a.to_dense().matmul(&b.to_dense());
-            let ok = run.result.approx_eq(&reference, 1e-3 * shape.k as f32);
+            let ok = a
+                .try_matmul(&b)
+                .is_ok_and(|reference| run.result.approx_eq(&reference, 1e-3 * shape.k as f32));
             println!("{} on {shape} (seed {})", engine.name(), args.seed);
             println!("  {}", run.stats);
             println!("  verified vs reference GEMM: {}", if ok { "PASS" } else { "FAIL" });
@@ -700,8 +701,9 @@ fn main() {
         let sim = SigmaSim::new(SigmaConfig::new(4, 16, 64, Dataflow::WeightStationary).unwrap())
             .unwrap();
         let (df, run) = sim.run_best_stationary(&a, &b).unwrap();
-        let reference = a.to_dense().matmul(&b.to_dense());
-        let ok = run.result.approx_eq(&reference, 1e-3 * fk as f32);
+        let ok = a
+            .try_matmul(&b)
+            .is_ok_and(|reference| run.result.approx_eq(&reference, 1e-3 * fk as f32));
         println!(
             "\n  functional check on {fm}x{fk}x{fn_} (4 x Flex-DPE-16, {df}): {}",
             if ok { "PASS" } else { "FAIL" }

@@ -192,7 +192,7 @@ impl Engine for FlakyEngine {
             }
             return Err(EngineError::Numeric(format!("chaos: flaky refusal {call}")));
         }
-        let result = a.to_dense().matmul(&b.to_dense());
+        let result = a.try_matmul(b)?;
         let stats = CycleStats { pes: 1, ..CycleStats::default() };
         Ok(EngineRun::new(result, stats))
     }

@@ -606,7 +606,7 @@ impl Sweep {
 
     /// One lazily-materialized slot per workload. Seeds are derived
     /// eagerly (they feed cell keys and journal replay), but operands and
-    /// the dense reference product wait for the first cell that actually
+    /// the reference product wait for the first cell that actually
     /// executes — a fully-warm cached sweep never pays for either.
     fn prepare(&self) -> Vec<LazyPrepared> {
         (0..self.workloads.len())
@@ -725,14 +725,16 @@ impl Sweep {
             attempts,
             mem_est_bytes: operand_footprint_bytes(&input.a, &input.b),
         };
-        match outcome {
-            CellOutcome::Done(run) => {
+        // A result with no reference to check it against is recorded
+        // like an engine refusal.
+        let (status, msg) = match (outcome, &input.reference) {
+            (CellOutcome::Done(run), Ok(reference)) => {
                 let (name, pes) = match &degraded_from {
                     Some((_, fallback)) => (fallback.name(), fallback.pes()),
                     None => (entry.engine.name(), entry.engine.pes()),
                 };
-                let max_abs_err = f64::from(run.result.max_abs_diff(&input.reference));
-                let verified = run.result.approx_eq(&input.reference, input.tol);
+                let max_abs_err = f64::from(run.result.max_abs_diff(reference));
+                let verified = run.result.approx_eq(reference, input.tol);
                 let mut record = RunRecord::from_run(
                     &entry.slug,
                     &name,
@@ -749,20 +751,22 @@ impl Sweep {
                     record.status = RunStatus::Degraded;
                     record.error = Some(why);
                 }
-                record
+                return record;
             }
-            CellOutcome::Failed(status, msg) => RunRecord::from_failure(
-                &entry.slug,
-                &entry.engine.name(),
-                entry.engine.pes(),
-                &w.name,
-                &w.problem,
-                input.seed,
-                status,
-                msg,
-                profile,
-            ),
-        }
+            (CellOutcome::Done(_), Err(e)) => (RunStatus::Error, e.to_string()),
+            (CellOutcome::Failed(status, msg), _) => (status, msg),
+        };
+        RunRecord::from_failure(
+            &entry.slug,
+            &entry.engine.name(),
+            entry.engine.pes(),
+            &w.name,
+            &w.problem,
+            input.seed,
+            status,
+            msg,
+            profile,
+        )
     }
 
     fn execute(&self, engines: &[EngineEntry], threads: usize) -> Vec<RunRecord> {
@@ -889,13 +893,13 @@ impl Sweep {
     }
 }
 
-/// One workload's materialized inputs: operands, the dense reference
-/// product, and the verification tolerance.
+/// One workload's materialized inputs: operands, the reference product
+/// (or why it could not be formed), and the verification tolerance.
 struct Prepared {
     seed: u64,
     a: Arc<SparseMatrix>,
     b: Arc<SparseMatrix>,
-    reference: Matrix,
+    reference: Result<Matrix, EngineError>,
     tol: f32,
 }
 
@@ -913,7 +917,9 @@ impl LazyPrepared {
     fn force(&self, w: &WorkloadSpec) -> &Prepared {
         self.cell.get_or_init(|| {
             let (a, b) = materialize(&w.problem, self.seed);
-            let reference = a.to_dense().matmul(&b.to_dense());
+            // The row-wise sparse product is bit-for-bit the dense one on
+            // the finite operands `materialize` generates.
+            let reference = a.try_matmul(&b).map_err(EngineError::from);
             // Accumulation-order slack grows with the contraction
             // length, like the agreement tests elsewhere.
             let tol = 1e-3 * w.problem.shape.k.max(1) as f32;

@@ -13,7 +13,7 @@ use crate::config::SigmaError;
 use crate::engine::SigmaSim;
 use crate::stats::CycleStats;
 use crate::trace::Trace;
-use sigma_matrix::{Matrix, SparseMatrix};
+use sigma_matrix::{DimensionError, Matrix, SparseMatrix};
 use sigma_telemetry::TelemetrySnapshot;
 
 /// The outcome of one GEMM on any engine: the numeric product, the cycle
@@ -93,6 +93,12 @@ impl From<SigmaError> for EngineError {
             SigmaError::Cancelled => EngineError::Cancelled,
             other => EngineError::Config(other.to_string()),
         }
+    }
+}
+
+impl From<DimensionError> for EngineError {
+    fn from(e: DimensionError) -> Self {
+        EngineError::DimensionMismatch { k_a: e.lhs.1, k_b: e.rhs.0 }
     }
 }
 

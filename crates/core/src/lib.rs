@@ -36,10 +36,10 @@
 //! let a = sparse_uniform(12, 20, Density::new(0.5).unwrap(), 1);
 //! let b = sparse_uniform(20, 9, Density::from_sparsity(0.8).unwrap(), 2);
 //! let run = sim.run_gemm(&a, &b)?;
-//! let reference = a.to_dense().matmul(&b.to_dense());
+//! let reference = a.try_matmul(&b)?;
 //! assert!(run.result.approx_eq(&reference, 1e-3));
 //! assert!(run.stats.stationary_utilization() > 0.99); // only non-zeros mapped
-//! # Ok::<(), sigma_core::SigmaError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
 //! [Qin et al., HPCA 2020]: https://doi.org/10.1109/HPCA47549.2020.00015

@@ -6,7 +6,9 @@ use crate::{DimensionError, MatrixError};
 ///
 /// This is the "golden" operand representation: the cycle-level simulators
 /// in `sigma-core` compute their numeric results through modeled hardware
-/// and are checked against [`Matrix::matmul`] and friends.
+/// and are checked against the sparse product
+/// [`SparseMatrix::try_matmul`](crate::SparseMatrix::try_matmul), whose
+/// own test oracle is [`Matrix::matmul`].
 ///
 /// ```
 /// use sigma_matrix::Matrix;
@@ -138,6 +140,17 @@ impl Matrix {
     pub fn row(&self, r: usize) -> &[f32] {
         assert!(r < self.rows, "row {r} out of bounds");
         &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Mutable borrow of row `r`, for kernels that scatter into an output
+    /// row in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows`.
+    pub(crate) fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        assert!(r < self.rows, "row {r} out of bounds");
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Column `c` collected into a `Vec`.

@@ -5,13 +5,15 @@
 //! provides everything the simulator and the baseline models need to talk
 //! about those operands:
 //!
-//! * [`Matrix`] — a row-major dense `f32` matrix with the reference GEMM
-//!   implementations used to verify the simulated datapath
-//!   ([`Matrix::matmul`], [`Matrix::matmul_at`], [`Matrix::matmul_bt`]).
+//! * [`Matrix`] — a row-major dense `f32` matrix with the dense reference
+//!   GEMM loops ([`Matrix::matmul`], [`Matrix::matmul_at`],
+//!   [`Matrix::matmul_bt`]); `matmul` is the test oracle for the sparse
+//!   product below.
 //! * [`Bitmap`] — the bit-packed occupancy map SIGMA uses as its on-chip
 //!   compression format (Sec. IV-C of the paper).
 //! * [`SparseMatrix`] — values + bitmap, the operand representation consumed
-//!   by the SIGMA sparsity controller.
+//!   by the SIGMA sparsity controller, with the row-wise sparse GEMM
+//!   ([`SparseMatrix::try_matmul`]) that verifies the simulated datapath.
 //! * [`formats`] — CSR / CSC / COO / RLC / bitmap encoders with exact
 //!   metadata-size accounting, reproducing the paper's Fig. 7 comparison.
 //! * [`gen`] — reproducible random sparse-matrix generators used by the
@@ -25,10 +27,11 @@
 //!
 //! let a = sparse_uniform(4, 6, Density::new(0.5).unwrap(), 7);
 //! let b = sparse_uniform(6, 3, Density::new(0.8).unwrap(), 8);
-//! let c = a.to_dense().matmul(&b.to_dense());
+//! let c = a.try_matmul(&b)?;
 //! assert_eq!((c.rows(), c.cols()), (4, 3));
 //! let a2 = SparseMatrix::from_dense(&a.to_dense());
 //! assert_eq!(a2.nnz(), a.nnz());
+//! # Ok::<(), sigma_matrix::DimensionError>(())
 //! ```
 //!
 //! [Qin et al., HPCA 2020]: https://doi.org/10.1109/HPCA47549.2020.00015

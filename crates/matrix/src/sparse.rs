@@ -1,6 +1,6 @@
 //! Bitmap-compressed sparse matrix — SIGMA's operand representation.
 
-use crate::{Bitmap, Matrix};
+use crate::{Bitmap, DimensionError, Matrix};
 
 /// A sparse matrix in SIGMA's bitmap format: the non-zero values in
 /// row-major order plus a [`Bitmap`] marking their positions (Sec. IV-C).
@@ -137,6 +137,71 @@ impl SparseMatrix {
         self.bitmap.iter_ones().zip(&self.values).map(|((r, c), v)| (r, c, *v))
     }
 
+    /// Sparse GEMM `self[M,K] x rhs[K,N] -> [M,N]`, row by row (Gustavson's
+    /// dataflow): the verification oracle for the simulated datapath.
+    ///
+    /// `rhs`'s row pointers and column indices are built once from its
+    /// bitmap. `self`'s non-zeros are then walked in row-major order, and
+    /// each `a[i,k]` scatters `a[i,k] * b[k,j]` over `rhs`'s row `k`
+    /// straight into output row `i`. The work is one multiply-add per
+    /// non-zero product instead of `M * N * K`.
+    ///
+    /// The result is bit-for-bit [`Matrix::matmul`] of the dense operands
+    /// whenever every value is finite. Each output element still adds its
+    /// products in ascending `k` into an accumulator that starts at `+0.0`;
+    /// the only difference is that the structurally zero products are
+    /// skipped, and adding those is a no-op:
+    ///
+    /// * The accumulator can never become `-0.0`: under round-to-nearest
+    ///   `+0.0 + -0.0 = +0.0` and `x + (-x) = +0.0`, so a zero accumulator
+    ///   is always `+0.0`, and adding `±0.0` to it leaves it unchanged.
+    /// * Adding `±0.0` to a non-zero accumulator is exact.
+    ///
+    /// Non-finite operands are the one exception: the dense loop turns a
+    /// skipped `0 * Inf` into NaN, this product does not. Engines reject
+    /// such operands through `validate_finite`, and the workload
+    /// generators never produce them.
+    ///
+    /// ```
+    /// use sigma_matrix::{Matrix, SparseMatrix};
+    /// let a = SparseMatrix::from_dense(&Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]));
+    /// let b = SparseMatrix::from_dense(&Matrix::from_rows(&[&[0.0, 3.0], &[4.0, 0.0]]));
+    /// let c = a.try_matmul(&b)?;
+    /// assert_eq!(c, Matrix::from_rows(&[&[0.0, 3.0], &[8.0, 0.0]]));
+    /// # Ok::<(), sigma_matrix::DimensionError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DimensionError`] if `self.cols() != rhs.rows()`.
+    pub fn try_matmul(&self, rhs: &SparseMatrix) -> Result<Matrix, DimensionError> {
+        if self.cols() != rhs.rows() {
+            return Err(DimensionError {
+                op: "matmul",
+                lhs: (self.rows(), self.cols()),
+                rhs: (rhs.rows(), rhs.cols()),
+            });
+        }
+        // rhs in CSR form: row k's non-zeros sit at `row_ptr[k]..row_ptr[k + 1]`
+        // of `col_idx` and of `rhs.values` (both row-major).
+        let mut row_ptr = Vec::with_capacity(rhs.rows() + 1);
+        let mut col_idx = Vec::with_capacity(rhs.nnz());
+        row_ptr.push(0);
+        for k in 0..rhs.rows() {
+            col_idx.extend(rhs.bitmap.row_iter_ones(k));
+            row_ptr.push(col_idx.len());
+        }
+        let mut out = Matrix::zeros(self.rows(), rhs.cols());
+        for (i, k, a) in self.iter() {
+            let span = row_ptr[k]..row_ptr[k + 1];
+            let row = out.row_mut(i);
+            for (&j, &b) in col_idx[span.clone()].iter().zip(&rhs.values[span]) {
+                row[j] += a * b;
+            }
+        }
+        Ok(out)
+    }
+
     /// The transpose of this sparse matrix.
     #[must_use]
     pub fn transposed(&self) -> SparseMatrix {
@@ -213,6 +278,14 @@ mod tests {
     fn storage_bits_accounting() {
         let s = SparseMatrix::from_dense(&sample());
         assert_eq!(s.storage_bits(), 4 * 32 + 12);
+    }
+
+    #[test]
+    fn try_matmul_rejects_mismatch() {
+        let a = SparseMatrix::from_dense(&Matrix::zeros(2, 3));
+        let b = SparseMatrix::from_dense(&Matrix::zeros(4, 5));
+        let err = a.try_matmul(&b).unwrap_err();
+        assert_eq!(err, DimensionError { op: "matmul", lhs: (2, 3), rhs: (4, 5) });
     }
 
     #[test]

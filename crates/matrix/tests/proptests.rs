@@ -5,11 +5,66 @@ use sigma_matrix::formats::{metadata_bits, rlc_symbol_count, CompressionKind, Co
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::{Matrix, SparseMatrix};
 
+/// Asserts `got` and `want` agree bit for bit, element by element.
+fn assert_same_bits(got: &Matrix, want: &Matrix) {
+    assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+    for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "element {i} differs: {g} vs {w}");
+    }
+}
+
+/// Strategy: a random sparse operand pair `[m,k] x [k,n]` with densities
+/// drawn from {0, 0.1, ..., 1} (so all-zero and full operands, and empty
+/// rows and columns, all occur) and `k` as small as 1.
+fn sparse_pair() -> impl Strategy<Value = (SparseMatrix, SparseMatrix)> {
+    (1usize..10, 1usize..10, 1usize..10, 0u8..=10, 0u8..=10, any::<u64>()).prop_map(
+        |(m, n, k, da, db, seed)| {
+            let density = |d10: u8| Density::new(f64::from(d10) / 10.0).unwrap();
+            let a = sparse_uniform(m, k, density(da), seed);
+            let b = sparse_uniform(k, n, density(db), seed.wrapping_add(1));
+            (a, b)
+        },
+    )
+}
+
+/// Strategy: a sparse matrix over the values {0, ±1, ±2}, whose products
+/// and partial sums are exact, so mixed-sign terms cancel to exactly zero
+/// (the signed-zero edge of the accumulation).
+fn cancelling(rows: usize, cols: usize) -> impl Strategy<Value = SparseMatrix> {
+    prop::collection::vec(0u8..=4, rows * cols).prop_map(move |v| {
+        let values = v.into_iter().map(|x| f32::from(x) - 2.0).collect();
+        let d = Matrix::from_vec(rows, cols, values).unwrap();
+        SparseMatrix::from_dense(&d)
+    })
+}
+
 /// Strategy: a small random sparse matrix described by (rows, cols, density seed).
 fn small_sparse() -> impl Strategy<Value = SparseMatrix> {
     (1usize..12, 1usize..12, 0u8..=10, any::<u64>()).prop_map(|(r, c, d10, seed)| {
         sparse_uniform(r, c, Density::new(f64::from(d10) / 10.0).unwrap(), seed)
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The row-wise sparse product is bit for bit the dense loop.
+    #[test]
+    fn sparse_matmul_matches_dense_bits((a, b) in sparse_pair()) {
+        let want = a.to_dense().matmul(&b.to_dense());
+        assert_same_bits(&a.try_matmul(&b).unwrap(), &want);
+    }
+
+    /// Cancelling mixed-sign terms leave `+0.0` in both products, never
+    /// `-0.0` in one of them.
+    #[test]
+    fn sparse_matmul_matches_dense_bits_on_cancellation(
+        (a, b) in (1usize..6, 1usize..6, 1usize..6)
+            .prop_flat_map(|(m, n, k)| (cancelling(m, k), cancelling(k, n)))
+    ) {
+        let want = a.to_dense().matmul(&b.to_dense());
+        assert_same_bits(&a.try_matmul(&b).unwrap(), &want);
+    }
 }
 
 proptest! {
@@ -139,4 +194,43 @@ proptest! {
             }
         }
     }
+}
+
+/// The density extremes at the shortest contraction: all-zero and full
+/// operands, and products whose rows or columns are entirely empty.
+#[test]
+fn sparse_matmul_matches_dense_bits_at_density_extremes() {
+    for k in [1, 5] {
+        for (da, db) in [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.3, 0.3)] {
+            let a = sparse_uniform(7, k, Density::new(da).unwrap(), 11);
+            let b = sparse_uniform(k, 6, Density::new(db).unwrap(), 12);
+            assert_same_bits(&a.try_matmul(&b).unwrap(), &a.to_dense().matmul(&b.to_dense()));
+        }
+    }
+}
+
+/// A negative product cancelled by a positive one sums to `+0.0` in both
+/// products.
+#[test]
+fn sparse_matmul_cancellation_yields_positive_zero() {
+    let a = SparseMatrix::from_dense(&Matrix::from_rows(&[&[1.0, 1.0]]));
+    let b = SparseMatrix::from_dense(&Matrix::from_rows(&[&[-3.0, 0.0], &[3.0, 0.0]]));
+    let c = a.try_matmul(&b).unwrap();
+    assert_eq!(c.get(0, 0).to_bits(), 0.0f32.to_bits());
+    assert_eq!(c.get(0, 1).to_bits(), 0.0f32.to_bits());
+    assert_same_bits(&c, &a.to_dense().matmul(&b.to_dense()));
+}
+
+/// Paper-scale parity: the 1024^3 GEMM at 50%/20% operand density, as
+/// the workload suite materializes it. The dense loop takes minutes in a
+/// debug build, so this runs with `cargo test --release -- --ignored`.
+#[test]
+#[ignore = "release-scale: run with cargo test --release -- --ignored"]
+fn sparse_matmul_matches_dense_bits_at_paper_scale() {
+    use sigma_core::model::GemmProblem;
+    use sigma_matrix::GemmShape;
+    let p = GemmProblem::sparse(GemmShape::new(1024, 1024, 1024), 0.5, 0.2);
+    let (a, b) = sigma_workloads::materialize(&p, 7);
+    let want = a.to_dense().matmul(&b.to_dense());
+    assert_same_bits(&a.try_matmul(&b).unwrap(), &want);
 }

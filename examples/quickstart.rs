@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The simulator computed the real product through the modeled
     // Benes -> multipliers -> FAN datapath; check it.
-    let reference = a.to_dense().matmul(&b.to_dense());
+    let reference = a.try_matmul(&b)?;
     let diff = run.result.max_abs_diff(&reference);
     println!("max |sim - reference| = {diff:e}");
     assert!(run.result.approx_eq(&reference, 1e-3 * a.cols() as f32));

@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("  computed C = A x B:\n{result}");
-    let reference = mk.matmul(&kn);
+    let reference = stationary.try_matmul(&streaming)?;
     assert!(result.approx_eq(&reference, 1e-5));
     println!("  matches the reference GEMM. ✓");
     Ok(())
