@@ -19,8 +19,9 @@
 //!   `SIGMA_PERF_TOLERANCE=<fraction>`);
 //! * `--smoke` — CI subset: the small end of the ladder at low rep count;
 //! * `--lockstep-check` — run the 128/512-PE cases through both the event
-//!   scheduler and the lockstep tick oracle and require bitwise-equal
-//!   stats and results; exits non-zero on any divergence;
+//!   scheduler and the lockstep tick oracle, fault-free and with one
+//!   fault plan per stationary site class, and require bitwise-equal
+//!   stats, fired faults and results; exits non-zero on any divergence;
 //! * `--telemetry` — measure each case twice (telemetry off, then on) and
 //!   report the instrumentation overhead per case; no baseline is written;
 //! * `--dse-warm` — the run-cache leg: sweep a DSE-style grid cold (empty
@@ -118,9 +119,11 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// `--lockstep-check`: run the 128/512-PE ladder cases through both the
-/// event scheduler and the lockstep tick oracle and require bitwise-equal
-/// runs (stats and per-element result bits). Exits non-zero on the first
-/// divergence — this is the CI equivalence gate for the epoch scheduler.
+/// event scheduler and the lockstep tick oracle — fault-free and under one
+/// fault plan per stationary site class — and require bitwise-equal runs
+/// (stats, fired faults and per-element result bits). Exits non-zero on
+/// the first divergence — this is the CI equivalence gate for the epoch
+/// scheduler and its fault hook.
 fn run_lockstep_check(quiet: bool) -> ExitCode {
     let mut checked = 0usize;
     for case in cases().iter().filter(|c| c.pes() <= 512) {

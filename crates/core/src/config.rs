@@ -301,11 +301,13 @@ impl SigmaConfig {
     }
 
     /// Whether the engine runs the legacy lockstep tick loop instead of
-    /// the event-driven scheduler (default: off, i.e. event-driven).
-    /// The lockstep loop ticks every Flex-DPE every streaming step; it is
-    /// kept as a debug oracle — both paths produce bitwise-identical
-    /// [`EngineRun`](crate::engine_api::EngineRun)s (outputs, stats, and
-    /// traces), which `perf_bench --lockstep-check` asserts in CI.
+    /// the event-driven scheduler (default: off, i.e. event-driven, for
+    /// fault-injected runs too). The lockstep loop ticks every Flex-DPE
+    /// every streaming step; it is kept as the oracle — both paths
+    /// produce bitwise-identical
+    /// [`EngineRun`](crate::engine_api::EngineRun)s (outputs, stats,
+    /// traces, and fired-fault lists), which `perf_bench
+    /// --lockstep-check` and `fault_campaign` assert in CI.
     #[must_use]
     pub fn lockstep(&self) -> bool {
         self.lockstep

@@ -51,6 +51,20 @@ pub enum FaultSite {
     },
 }
 
+impl FaultSite {
+    /// The Flex-DPE this site lives in; `None` for controller metadata
+    /// ([`FaultSite::BitmapWord`]), which no single unit owns.
+    #[must_use]
+    pub fn dpe(&self) -> Option<usize> {
+        match *self {
+            FaultSite::MultiplierOutput { dpe, .. }
+            | FaultSite::FanAdder { dpe, .. }
+            | FaultSite::BenesPort { dpe, .. } => Some(dpe),
+            FaultSite::BitmapWord { .. } => None,
+        }
+    }
+}
+
 impl std::fmt::Display for FaultSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -279,6 +293,24 @@ impl<'a> FaultInjector<'a> {
         &self.fired
     }
 
+    /// `true` when the plan names a datapath site (multiplier, FAN adder
+    /// or Benes port) inside Flex-DPE `dpe`. Only such a unit can see a
+    /// value perturbed; every other unit runs exactly as without faults.
+    #[must_use]
+    pub(crate) fn arms_dpe(&self, dpe: usize) -> bool {
+        self.plan.events.iter().any(|e| e.site.dpe() == Some(dpe))
+    }
+
+    /// Puts the faults fired since `start` into the tick loop's order:
+    /// by cycle, then by Flex-DPE, keeping the within-step order of
+    /// equal keys (the sort is stable). A scheduler that walks units in
+    /// its outer loop calls this once per run; faults of earlier runs
+    /// (`..start`) keep their place, since each recompute restarts its
+    /// cycle count at 0.
+    pub(crate) fn order_fired_since(&mut self, start: usize) {
+        self.fired[start..].sort_by_key(|f| (f.cycle, f.site.dpe()));
+    }
+
     fn record(&mut self, idx: usize, cycle: u64) {
         if !self.recorded[idx] {
             self.recorded[idx] = true;
@@ -307,10 +339,12 @@ impl<'a> FaultInjector<'a> {
         out
     }
 
-    /// The stuck-at defects armed on `dpe`'s FAN adders, recorded as
-    /// fired the first time that DPE reduces with them armed.
-    pub fn adder_faults(&mut self, dpe: usize, cycle: u64) -> Vec<AdderFault> {
-        let mut out = Vec::new();
+    /// Fills `out` (cleared first) with the stuck-at defects armed on
+    /// `dpe`'s FAN adders, recorded as fired the first time that DPE
+    /// reduces with them armed. Reusing `out` keeps the faulted step
+    /// allocation-free.
+    pub fn adder_faults(&mut self, dpe: usize, cycle: u64, out: &mut Vec<AdderFault>) {
+        out.clear();
         for idx in 0..self.plan.events.len() {
             let e = self.plan.events[idx];
             if let (FaultSite::FanAdder { dpe: d, adder }, FaultKind::StuckBit { bit, level }) =
@@ -322,24 +356,26 @@ impl<'a> FaultInjector<'a> {
                 }
             }
         }
-        out
     }
 
     /// Applies Benes delivery faults to the operands arriving at `dpe`'s
-    /// multiplier slots. `occupied[slot]` marks slots with a stationary
-    /// element — faults only fire where a delivery actually happens.
+    /// multiplier slots. `original` holds the fault-free deliveries (a
+    /// misrouted port reads its source there, so earlier faults in the
+    /// same step cannot leak into it) and `delivered` starts as a copy of
+    /// it. Slots `0..occupied` hold a stationary element (loads pack a
+    /// prefix); faults only fire where a delivery actually happens.
     pub fn apply_port_faults(
         &mut self,
         dpe: usize,
+        original: &[f32],
         delivered: &mut [f32],
-        occupied: &[bool],
+        occupied: usize,
         cycle: u64,
     ) {
-        let original = delivered.to_vec();
         for idx in 0..self.plan.events.len() {
             let e = self.plan.events[idx];
             let FaultSite::BenesPort { dpe: d, port } = e.site else { continue };
-            if d != dpe || port >= delivered.len() || !occupied[port] {
+            if d != dpe || port >= delivered.len() || port >= occupied {
                 continue;
             }
             match e.kind {
@@ -413,10 +449,13 @@ mod tests {
         let mut inj = FaultInjector::new(&plan);
         assert!(inj.is_empty());
         let mut delivered = [1.0f32, 2.0];
-        inj.apply_port_faults(0, &mut delivered, &[true, true], 0);
+        inj.apply_port_faults(0, &[1.0, 2.0], &mut delivered, 2, 0);
         assert_eq!(delivered, [1.0, 2.0]);
         assert_eq!(inj.apply_multiplier(0, 0, 3.5, 0), 3.5);
-        assert!(inj.adder_faults(0, 0).is_empty());
+        let mut adders = vec![AdderFault { adder: 1, bit: 0, level: StuckLevel::One }];
+        inj.adder_faults(0, 0, &mut adders);
+        assert!(adders.is_empty());
+        assert!(!inj.arms_dpe(0));
         assert!(inj.take_bitmap_corruptions(0).is_empty());
         assert!(inj.into_report().fired.is_empty());
     }
@@ -466,17 +505,18 @@ mod tests {
                     FaultKind::TransientFlip { bit: 31 },
                 );
         let mut inj = FaultInjector::new(&plan);
-        let mut d = [10.0f32, 20.0, 30.0];
-        inj.apply_port_faults(0, &mut d, &[true, true, true], 7);
+        let original = [10.0f32, 20.0, 30.0];
+        let mut d = original;
+        inj.apply_port_faults(0, &original, &mut d, 3, 7);
         // Drop, misroute (pre-fault value of port 2), sign-flip.
         assert_eq!(d, [0.0, 30.0, -30.0]);
         // Persistent faults keep applying; the transient is spent.
-        let mut d2 = [10.0f32, 20.0, 30.0];
-        inj.apply_port_faults(0, &mut d2, &[true, true, true], 8);
+        let mut d2 = original;
+        inj.apply_port_faults(0, &original, &mut d2, 3, 8);
         assert_eq!(d2, [0.0, 30.0, 30.0]);
         // Unoccupied slots never fire.
         let mut d3 = [1.0f32, 1.0, 1.0];
-        inj.apply_port_faults(0, &mut d3, &[false, false, false], 9);
+        inj.apply_port_faults(0, &[1.0, 1.0, 1.0], &mut d3, 0, 9);
         assert_eq!(d3, [1.0, 1.0, 1.0]);
         assert_eq!(inj.fired().len(), 3);
     }
@@ -499,11 +539,43 @@ mod tests {
             FaultKind::StuckBit { bit: 30, level: StuckLevel::Zero },
         );
         let mut inj = FaultInjector::new(&plan);
-        assert!(inj.adder_faults(0, 0).is_empty());
-        let f = inj.adder_faults(3, 4);
+        assert!(inj.arms_dpe(3) && !inj.arms_dpe(0));
+        let mut f = Vec::new();
+        inj.adder_faults(0, 0, &mut f);
+        assert!(f.is_empty());
+        inj.adder_faults(3, 4, &mut f);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].adder, 5);
         assert_eq!(inj.fired().len(), 1);
+    }
+
+    #[test]
+    fn fired_faults_reorder_by_cycle_then_dpe_within_one_run() {
+        let plan = FaultPlan::single(
+            FaultSite::MultiplierOutput { dpe: 2, slot: 0 },
+            FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
+        )
+        .with_event(
+            FaultSite::MultiplierOutput { dpe: 1, slot: 0 },
+            FaultKind::StuckBit { bit: 31, level: StuckLevel::One },
+        )
+        .with_event(FaultSite::BitmapWord { word: 0 }, FaultKind::CorruptWord { mask: 1 })
+        .with_event(
+            FaultSite::MultiplierOutput { dpe: 0, slot: 0 },
+            FaultKind::TransientFlip { bit: 31 },
+        );
+        let mut inj = FaultInjector::new(&plan);
+        // An earlier run fired DPE 0 late; its entry must stay first.
+        let _ = inj.apply_multiplier(0, 0, 1.0, 50);
+        let start = inj.fired().len();
+        // A unit-outer walk: DPE 2 steps through its fold before DPE 1.
+        let _ = inj.take_bitmap_corruptions(0);
+        let _ = inj.apply_multiplier(2, 0, 1.0, 7);
+        let _ = inj.apply_multiplier(1, 0, 1.0, 7);
+        inj.order_fired_since(start);
+        let order: Vec<(u64, Option<usize>)> =
+            inj.fired().iter().map(|f| (f.cycle, f.site.dpe())).collect();
+        assert_eq!(order, [(50, Some(0)), (0, None), (7, Some(1)), (7, Some(2))]);
     }
 
     #[test]

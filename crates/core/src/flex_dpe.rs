@@ -22,7 +22,10 @@
 
 use crate::config::SigmaError;
 use crate::controller::MappedElement;
-use sigma_interconnect::{BenesNetwork, Fan, FanProgram, FanReduction, FanScratch, RouteCache};
+use crate::fault::FaultInjector;
+use sigma_interconnect::{
+    AdderFault, BenesNetwork, Fan, FanProgram, FanReduction, FanScratch, RouteCache,
+};
 use sigma_telemetry::{Counter, Hist, Telemetry};
 
 /// The result of streaming one vector through a Flex-DPE.
@@ -67,6 +70,13 @@ pub struct FlexDpe {
     /// a Vec (not a hash set) so the count is allocation-free after
     /// warmup and independent of any per-process hasher state.
     distinct_scratch: Vec<usize>,
+    /// Fault-free operand deliveries of the current faulted step
+    /// ([`FlexDpe::step_faulted`]), kept apart from the (possibly
+    /// faulted) deliveries so a misrouted port reads the true source.
+    /// Sized on the first faulted step, so fault-free units never pay.
+    operands: Vec<f32>,
+    /// The stuck FAN adders armed on this unit for the current step.
+    adder_faults: Vec<AdderFault>,
     telemetry: Telemetry,
 }
 
@@ -96,6 +106,8 @@ impl FlexDpe {
             route_cache: RouteCache::new(),
             load_req: Vec::with_capacity(size),
             distinct_scratch: Vec::with_capacity(size),
+            operands: Vec::new(),
+            adder_faults: Vec::new(),
             telemetry: Telemetry::off(),
         })
     }
@@ -433,52 +445,62 @@ impl FlexDpe {
         }
     }
 
-    /// [`FlexDpe::step`] with an armed [`FaultInjector`]: Benes delivery
-    /// faults perturb the streamed operands, multiplier-output faults
-    /// perturb the products, and stuck FAN adders corrupt the reduction.
-    /// With an empty plan this is value-identical to [`FlexDpe::step`].
+    /// [`FlexDpe::step_compiled`] with an armed [`FaultInjector`]: Benes
+    /// delivery faults perturb the streamed operands, multiplier-output
+    /// faults perturb the products, and stuck FAN adders corrupt the
+    /// reduction. `column` is the dense contraction-indexed streamed
+    /// vector, as for [`FlexDpe::step_compiled`]. With an empty plan the
+    /// result is bitwise that of [`FlexDpe::step_into`].
     ///
     /// `dpe_index` names this engine in the injector's site space and
-    /// `cycle` stamps any fault that fires.
+    /// `cycle` stamps any fault that fires. Products, deliveries and the
+    /// armed adder list live in unit scratch and the FAN reduces through
+    /// [`Fan::reduce_into`], so a warmed faulted step performs zero heap
+    /// allocations. Records no telemetry (the engines batch it per fold).
     ///
     /// # Errors
     ///
-    /// Propagates FAN errors, as [`FlexDpe::step`] does.
+    /// Propagates FAN errors, which cannot occur for controller-produced
+    /// cluster assignments (contiguous by construction).
     pub fn step_faulted(
-        &self,
-        operand: &dyn Fn(usize) -> f32,
-        injector: &mut crate::fault::FaultInjector<'_>,
+        &mut self,
+        column: &[f32],
+        injector: &mut FaultInjector<'_>,
         dpe_index: usize,
         cycle: u64,
-    ) -> Result<DpeStep, SigmaError> {
-        let mut delivered = vec![0.0f32; self.size];
-        let mut occupied = vec![false; self.size];
-        for slot in 0..self.size {
-            if self.slot_occupied(slot) {
-                delivered[slot] = operand(self.contractions[slot]);
-                occupied[slot] = true;
-            }
+        out: &mut DpeStep,
+    ) -> Result<(), SigmaError> {
+        // Occupancy is a prefix (see `step_compiled`); unoccupied slots
+        // receive nothing and multiply to 0.0.
+        let occ = self.occupied_count;
+        self.operands.resize(self.size, 0.0);
+        for (o, &c) in self.operands[..occ].iter_mut().zip(&self.contractions[..occ]) {
+            *o = column[c];
         }
-        injector.apply_port_faults(dpe_index, &mut delivered, &occupied, cycle);
-
-        let mut products = vec![0.0f32; self.size];
+        self.operands[occ..].fill(0.0);
+        // `products` holds the (possibly faulted) deliveries until the
+        // multiply below overwrites each one with its product.
+        self.products.copy_from_slice(&self.operands);
+        injector.apply_port_faults(dpe_index, &self.operands, &mut self.products, occ, cycle);
         let mut useful = 0usize;
-        for slot in 0..self.size {
-            if occupied[slot] {
-                let v = delivered[slot];
-                if v != 0.0 {
-                    useful += 1;
-                }
-                products[slot] =
-                    injector.apply_multiplier(dpe_index, slot, self.values[slot] * v, cycle);
-            }
+        for (slot, (p, &v)) in self.products[..occ].iter_mut().zip(&self.values[..occ]).enumerate()
+        {
+            useful += usize::from(*p != 0.0);
+            *p = injector.apply_multiplier(dpe_index, slot, v * *p, cycle);
         }
-        let adder_faults = injector.adder_faults(dpe_index, cycle);
-        let reduction = self
-            .fan
-            .reduce_with_faults(&products, &self.vec_ids, &adder_faults)
+        injector.adder_faults(dpe_index, cycle, &mut self.adder_faults);
+        self.fan
+            .reduce_into(
+                &self.products,
+                &self.vec_ids,
+                &self.adder_faults,
+                &mut self.fan_scratch,
+                &mut out.reduction,
+            )
             .map_err(|_| SigmaError::DpeSizeNotPowerOfTwo(self.size))?;
-        Ok(DpeStep { reduction, useful_macs: useful, operands_consumed: self.distinct_operands })
+        out.useful_macs = useful;
+        out.operands_consumed = self.distinct_operands;
+        Ok(())
     }
 
     /// Latency components of this engine: (distribution, multiply,

@@ -1,6 +1,7 @@
 //! Verifies the allocation-free claim for the simulation hot loops: after
-//! a warmup pass, `FlexDpe::load` (route-cache hit), `FlexDpe::step_into`
-//! and `Fan::reduce_into` perform **zero** heap allocations.
+//! a warmup pass, `FlexDpe::load` (route-cache hit), `FlexDpe::step_into`,
+//! `FlexDpe::step_faulted` and `Fan::reduce_into` perform **zero** heap
+//! allocations.
 //!
 //! A counting `#[global_allocator]` makes the claim checkable instead of
 //! aspirational. This file intentionally holds a single `#[test]`: the
@@ -10,6 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sigma_core::fault::{FaultInjector, FaultKind, FaultPlan, FaultSite, StuckLevel};
 use sigma_core::{DpeStep, FlexDpe, MappedElement, Telemetry};
 use sigma_interconnect::{Fan, FanReduction, FanScratch};
 
@@ -150,6 +152,32 @@ fn warmed_hot_loops_do_not_allocate() {
     for (a, b) in out_plain.reduction.sums.iter().zip(&out_disabled.reduction.sums) {
         assert_eq!(a.value.to_bits(), b.value.to_bits(), "cluster {} diverged bitwise", a.vec_id);
     }
+
+    // The fault-injected step: deliveries, products and the armed FAN
+    // adder list live in unit scratch, so a warmed faulted step (here
+    // with a persistent fault at every datapath site class) allocates
+    // nothing either.
+    let plan = FaultPlan::single(
+        FaultSite::MultiplierOutput { dpe: 0, slot: 1 },
+        FaultKind::StuckBit { bit: 30, level: StuckLevel::One },
+    )
+    .with_event(
+        FaultSite::FanAdder { dpe: 0, adder: 2 },
+        FaultKind::StuckBit { bit: 22, level: StuckLevel::Zero },
+    )
+    .with_event(FaultSite::BenesPort { dpe: 0, port: 3 }, FaultKind::MisroutedPort { from: 5 })
+    .with_event(FaultSite::BenesPort { dpe: 0, port: 4 }, FaultKind::DroppedPort);
+    let mut injector = FaultInjector::new(&plan);
+    let column: Vec<f32> = (0..8).map(|k| k as f32 - 2.5).collect();
+    let mut fout = DpeStep::default();
+    dpe.step_faulted(&column, &mut injector, 0, 1, &mut fout).unwrap();
+    let mut cycle = 1u64;
+    let faulted = min_allocations_over(3, || {
+        cycle += 1;
+        dpe.step_faulted(&column, &mut injector, 0, cycle, &mut fout).unwrap();
+    });
+    assert_eq!(faulted, 0, "warmed step_faulted allocated {faulted} times");
+    assert_eq!(injector.fired().len(), 4);
 
     // Sanity: the counter itself is live (an intentional allocation is
     // seen), so the zeros above are meaningful.
