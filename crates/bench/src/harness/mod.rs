@@ -33,7 +33,9 @@
 //!   model behind the same [`GemmAccelerator`] face as the analytic
 //!   baselines, so figure modules stop re-deriving it;
 //! * [`emit`] — the common figure-binary entry point (`--csv`, `--json`,
-//!   `--quiet`).
+//!   `--quiet`);
+//! * [`fault_sites`] — the fault campaign's site classes, each building
+//!   a seeded single-event [`FaultPlan`](sigma_core::fault::FaultPlan).
 //!
 //! [`Engine`]: sigma_core::Engine
 //! [`GemmAccelerator`]: sigma_baselines::GemmAccelerator
@@ -42,6 +44,7 @@ pub mod analytic;
 pub mod cache;
 pub mod chaos;
 pub mod emit;
+pub mod fault_sites;
 pub mod flight;
 pub mod journal;
 pub mod profile;
@@ -53,6 +56,7 @@ pub use analytic::{speedup_over, SigmaAnalytic};
 pub use cache::{CacheStats, CellKey, CellLease, Lookup, RunCache, CELL_KEY_REVISION};
 pub use chaos::{FlakyEngine, PanickingEngine, SpinningEngine, WedgingEngine};
 pub use emit::{emit_tables, emit_tables_with};
+pub use fault_sites::SiteClass;
 pub use flight::{
     build_report, parse_event_log, read_event_log, render_event_log, stage_table, write_event_log,
     EventLog, FlightReport, SnapSample, FLIGHT_SCHEMA,

@@ -252,37 +252,22 @@ impl Fan {
         values: &[f32],
         vec_ids: &[Option<u32>],
     ) -> Result<FanReduction, FanError> {
-        self.reduce_with_faults(values, vec_ids, &[])
-    }
-
-    /// [`Fan::reduce`] with persistent stuck-at defects on selected
-    /// adders: every activation of a faulted adder has the corresponding
-    /// output bit latched (see [`crate::fault::AdderFault`]). An empty
-    /// `faults` slice is byte-identical to [`Fan::reduce`]; adders whose
-    /// ids never activate (because no cluster spans them) corrupt
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Fan::reduce`].
-    pub fn reduce_with_faults(
-        &self,
-        values: &[f32],
-        vec_ids: &[Option<u32>],
-        faults: &[crate::fault::AdderFault],
-    ) -> Result<FanReduction, FanError> {
         let mut scratch = FanScratch::default();
         let mut out = FanReduction::default();
-        self.reduce_into(values, vec_ids, faults, &mut scratch, &mut out)?;
+        self.reduce_into(values, vec_ids, &[], &mut scratch, &mut out)?;
         Ok(out)
     }
 
-    /// Allocation-free [`Fan::reduce_with_faults`]: the wave's sums are
-    /// written into `out` (cleared first) and all working state lives in
-    /// `scratch`, so a warmed `(scratch, out)` pair performs zero heap
-    /// allocations per wave. Produces byte-identical results to
-    /// [`Fan::reduce`] / [`Fan::reduce_with_faults`] — same add order,
-    /// same activation counts, same completion times.
+    /// Allocation-free [`Fan::reduce`], optionally with persistent
+    /// stuck-at defects on selected adders: every activation of a faulted
+    /// adder has the corresponding output bit latched (see
+    /// [`crate::fault::AdderFault`]); adders whose ids never activate
+    /// (because no cluster spans them) corrupt nothing. The wave's sums
+    /// are written into `out` (cleared first) and all working state lives
+    /// in `scratch`, so a warmed `(scratch, out)` pair performs zero heap
+    /// allocations per wave. With an empty `faults` slice the results are
+    /// byte-identical to [`Fan::reduce`] — same add order, same activation
+    /// counts, same completion times.
     ///
     /// # Errors
     ///
@@ -550,17 +535,21 @@ mod tests {
         // Adder 5 (level 1) belongs to cluster 1's reduction; latch its
         // sign bit high. Cluster 0 must be untouched.
         let fault = AdderFault { adder: 5, bit: 31, level: StuckLevel::One };
-        let r = fan.reduce_with_faults(&values, &v, &[fault]).unwrap();
+        let mut scratch = FanScratch::default();
+        let mut r = FanReduction::default();
+        fan.reduce_into(&values, &v, &[fault], &mut scratch, &mut r).unwrap();
         assert_eq!(r.sums[0].value, 10.0, "cluster 0 does not pass through adder 5");
         // Cluster 1: level 0 gives (10+20)=30 at adder 4 and (30+40)=70 at
         // adder 6; level 1 at adder 5 computes 30+70=100 -> sign forced -> -100.
         assert_eq!(r.sums[1].value, -100.0);
         // Empty fault slice is byte-identical to the plain reduce.
         let clean = fan.reduce(&values, &v).unwrap();
-        assert_eq!(fan.reduce_with_faults(&values, &v, &[]).unwrap(), clean);
+        fan.reduce_into(&values, &v, &[], &mut scratch, &mut r).unwrap();
+        assert_eq!(r, clean);
         // A fault on an adder no cluster spans changes nothing.
         let idle = AdderFault { adder: 3, bit: 31, level: StuckLevel::One };
-        assert_eq!(fan.reduce_with_faults(&values, &v, &[idle]).unwrap(), clean);
+        fan.reduce_into(&values, &v, &[idle], &mut scratch, &mut r).unwrap();
+        assert_eq!(r, clean);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! IEEE-754 bit representation of `f32` values: a transient upset flips
 //! one bit ([`flip_bit`]), a latched defect forces one bit to a fixed
 //! level ([`force_bit`]). [`AdderFault`] packages a persistent stuck-at
-//! defect on one FAN adder so [`crate::Fan::reduce_with_faults`] can
+//! defect on one FAN adder so [`crate::Fan::reduce_into`] can
 //! corrupt exactly the activations that flow through that adder.
 
 /// Flips bit `bit` (0 = LSB of the mantissa, 31 = sign) of an `f32`'s
