@@ -362,12 +362,12 @@ impl Engine for PackedSystolicEngine {
         let (result, packing) = run_packed_gemm(&ad, &bd, self.max_combine);
         // Latency: the same array streaming the packed (narrower) weight
         // matrix; numerics come from the scatter-correct packed run above.
-        let (packed, _) = crate::packed_functional::pack_weights(&bd, &packing);
-        let timing = SystolicSim::new(self.rows, self.cols).run_gemm(&ad, &packed);
         let k = a.cols();
+        let (cycles, folds) =
+            SystolicSim::new(self.rows, self.cols).ws_timing(a.rows(), k, packing.groups.len());
         let stats = CycleStats {
-            streaming_cycles: timing.cycles,
-            folds: timing.folds,
+            streaming_cycles: cycles,
+            folds,
             useful_macs: useful_macs(a, b),
             issued_macs: (a.rows() * packing.groups.len() * k) as u128,
             mapped_nonzeros: b.nnz() as u64,

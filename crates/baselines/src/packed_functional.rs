@@ -123,22 +123,35 @@ pub fn pack_weights(w: &Matrix, packing: &ColumnPacking) -> (Matrix, Vec<Vec<Opt
 /// densely; each packed column's per-row products scatter to their
 /// original output columns. Returns the result (exact when no conflicts
 /// were pruned) and the packed column count (the latency driver).
+///
+/// Each original column belongs to exactly one group, so every output
+/// takes its products in contraction-row order, whatever order the
+/// groups run in.
 #[must_use]
 pub fn run_packed_gemm(a: &Matrix, w: &Matrix, max_combine: usize) -> (Matrix, ColumnPacking) {
     assert_eq!(a.cols(), w.rows(), "inner dimensions must agree");
     let packing = combine_columns(w, max_combine, 0);
-    let (_, column_of) = pack_weights(w, &packing);
-    let (m, k) = (a.rows(), a.cols());
-    let mut out = Matrix::zeros(m, w.cols());
+    let (packed, column_of) = pack_weights(w, &packing);
+    // The occupied PEs as (row, destination column, weight), in (group,
+    // row) order.
+    let mut pes = Vec::new();
     for (g, col_map) in column_of.iter().enumerate() {
-        let _ = g;
-        for mm in 0..m {
-            for (r, dest) in col_map.iter().enumerate().take(k) {
-                if let Some(dest) = dest {
-                    let wv = w.get(r, *dest);
-                    out.set(mm, *dest, out.get(mm, *dest) + a.get(mm, r) * wv);
-                }
+        for (r, dest) in col_map.iter().enumerate() {
+            if let Some(dest) = *dest {
+                pes.push((r, dest, packed.get(r, g)));
             }
+        }
+    }
+    let mut out = Matrix::zeros(a.rows(), w.cols());
+    let mut out_row = vec![0.0f32; w.cols()];
+    for mm in 0..a.rows() {
+        let acts = a.row(mm);
+        out_row.fill(0.0);
+        for &(r, dest, wv) in &pes {
+            out_row[dest] += acts[r] * wv;
+        }
+        for (c, &v) in out_row.iter().enumerate() {
+            out.set(mm, c, v);
         }
     }
     (out, packing)

@@ -78,34 +78,37 @@ impl ScnnSim {
         let mut multiply_cycles = 0u64;
         let mut accumulate_cycles = 0u64;
         let mut worst = 0u64;
+        // Scratch reused across contraction indices and waves.
+        let mut acts: Vec<(usize, f32)> = Vec::with_capacity(m);
+        let mut wts: Vec<(usize, f32)> = Vec::with_capacity(n);
+        let mut products: Vec<(usize, usize, f32)> = Vec::new();
+        let mut per_bank = vec![0u64; self.banks];
 
         for kk in 0..k {
-            let acts: Vec<(usize, f32)> = (0..m)
-                .filter_map(|mm| {
-                    let v = a.get(mm, kk);
-                    (v != 0.0).then_some((mm, v))
-                })
-                .collect();
-            let wts: Vec<(usize, f32)> = (0..n)
-                .filter_map(|nn| {
-                    let v = b.get(kk, nn);
-                    (v != 0.0).then_some((nn, v))
-                })
-                .collect();
+            acts.clear();
+            acts.extend((0..m).filter_map(|mm| {
+                let v = a.get(mm, kk);
+                (v != 0.0).then_some((mm, v))
+            }));
+            wts.clear();
+            wts.extend(
+                b.row(kk).iter().enumerate().filter(|&(_, &v)| v != 0.0).map(|(nn, &v)| (nn, v)),
+            );
             if acts.is_empty() || wts.is_empty() {
                 continue;
             }
             // Issue the cartesian product in multiplier-wide waves.
-            let products: Vec<(usize, usize, f32)> = acts
-                .iter()
-                .flat_map(|&(mm, av)| wts.iter().map(move |&(nn, wv)| (mm, nn, av * wv)))
-                .collect();
+            products.clear();
+            products.extend(
+                acts.iter()
+                    .flat_map(|&(mm, av)| wts.iter().map(move |&(nn, wv)| (mm, nn, av * wv))),
+            );
             macs += products.len() as u64;
             for wave in products.chunks(self.mults_per_cycle) {
                 multiply_cycles += 1;
                 // Bank scheduling: the most-contended bank sets the
                 // cycles this wave needs to drain.
-                let mut per_bank = vec![0u64; self.banks];
+                per_bank.fill(0);
                 for &(mm, nn, pv) in wave {
                     out.set(mm, nn, out.get(mm, nn) + pv);
                     per_bank[(mm * n + nn) % self.banks] += 1;

@@ -13,6 +13,20 @@
 //! SCALE-sim-style analytic formula `2R + C + M − 2` per fold — that
 //! agreement is itself a test, tying the analytic baseline model to real
 //! hardware behavior.
+//!
+//! Each fold allocates its register files once, as flat row-major
+//! `rows x cols` vectors, and every cycle updates them in place: a row's
+//! activations shift one PE right (`copy_within`) and the skewed feed
+//! enters at column 0; then every PE of the row does its multiply-add.
+//! The weight-stationary fold visits rows bottom-up, so row `r` still
+//! reads row `r − 1`'s psum from the previous cycle; the output-stationary
+//! fold moves its `B` registers down a row with one overlapping move
+//! before any PE reads them. Each PE therefore computes the same
+//! `p_in + a_in·w` (or `acc += a_in·b_in`) from the same previous-cycle
+//! values, on every cycle including padding cycles, as a double-buffered
+//! register file would: results are bit for bit those of the written-out
+//! fold order (`tests/proptests.rs`), and the allocation count does not
+//! grow with the stream (`tests/alloc_counts.rs`).
 
 use sigma_matrix::Matrix;
 
@@ -68,24 +82,40 @@ impl SystolicSim {
     #[must_use]
     pub fn run_gemm(&self, a: &Matrix, b: &Matrix) -> SystolicRun {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let mut out = Matrix::zeros(m, n);
+        let mut out = Matrix::zeros(a.rows(), b.cols());
         let mut cycles = 0u64;
         let mut folds = 0u64;
-
-        let mut k0 = 0;
-        while k0 < k {
-            let kr = (k - k0).min(self.rows);
-            let mut n0 = 0;
-            while n0 < n {
-                let nc = (n - n0).min(self.cols);
-                cycles += self.run_fold(a, b, &mut out, k0, kr, n0, nc);
-                folds += 1;
-                n0 += nc;
-            }
-            k0 += kr;
+        for (k0, kr, n0, nc) in self.tiles(a.cols(), b.cols()) {
+            cycles += self.run_fold(a, b, &mut out, k0, kr, n0, nc);
+            folds += 1;
         }
         SystolicRun { result: out, cycles, folds }
+    }
+
+    /// The `(cycles, folds)` that [`Self::run_gemm`] reports for an
+    /// `M x K x N` GEMM, without simulating it: the same fold loop, each
+    /// fold costing [`Self::analytic_fold_cycles`] (a fold with no
+    /// activation rows only loads its weights, `R` cycles). The timing
+    /// of a weight-stationary array does not depend on operand values.
+    #[must_use]
+    pub fn ws_timing(&self, m: usize, k: usize, n: usize) -> (u64, u64) {
+        let mut cycles = 0u64;
+        let mut folds = 0u64;
+        for (_, kr, _, nc) in self.tiles(k, n) {
+            cycles += if m == 0 { self.rows as u64 } else { self.analytic_fold_cycles(kr, nc, m) };
+            folds += 1;
+        }
+        (cycles, folds)
+    }
+
+    /// The fold tiles `(o0, or, n0, nc)` over an `outer x n` grid, outer
+    /// folds outermost: `outer` steps by the array's rows (K for weight
+    /// stationary, M for output stationary) and `n` by its columns.
+    fn tiles(&self, outer: usize, n: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+        let (rows, cols) = (self.rows, self.cols);
+        (0..outer).step_by(rows).flat_map(move |o0| {
+            (0..n).step_by(cols).map(move |n0| (o0, (outer - o0).min(rows), n0, (n - n0).min(cols)))
+        })
     }
 
     /// Executes one stationary fold and returns its cycle count.
@@ -101,65 +131,54 @@ impl SystolicSim {
         nc: usize,
     ) -> u64 {
         let m = a.rows();
-        // Weight load: store-and-forward down all R rows.
-        let mut cycles = self.rows as u64;
-
-        // Stationary weights for this tile.
-        let mut w = vec![vec![0.0f32; nc]; kr];
-        for (r, row) in w.iter_mut().enumerate() {
-            for (c, val) in row.iter_mut().enumerate() {
-                *val = b.get(k0 + r, n0 + c);
-            }
+        // Stationary weights and PE registers for this tile, row-major
+        // `kr x nc`.
+        let mut w = Vec::with_capacity(kr * nc);
+        for r in 0..kr {
+            w.extend_from_slice(&b.row(k0 + r)[n0..n0 + nc]);
         }
-
-        // PE pipeline registers.
-        let mut a_reg = vec![vec![0.0f32; nc]; kr];
-        let mut p_reg = vec![vec![0.0f32; nc]; kr];
+        let mut a_reg = vec![0.0f32; kr * nc];
+        let mut p_reg = vec![0.0f32; kr * nc];
         let mut collected = 0usize;
         let total_outputs = m * nc;
-        let mut t = 0u64;
+        let mut t = 0usize;
         // Activation m enters row r at cycle m + r; the finished psum for
         // (m, column c) leaves the bottom PE's register at m + kr + c.
         while collected < total_outputs {
-            // Compute this cycle's register updates from the previous
-            // state (reverse order so reads see time t-1 values).
-            let mut new_a = vec![vec![0.0f32; nc]; kr];
-            let mut new_p = vec![vec![0.0f32; nc]; kr];
-            for r in 0..kr {
-                for c in 0..nc {
-                    let a_in = if c == 0 {
-                        // Left edge: skewed feed.
-                        let tt = t as i64 - r as i64;
-                        if tt >= 0 && (tt as usize) < m {
-                            a.get(tt as usize, k0 + r)
-                        } else {
-                            0.0
-                        }
-                    } else {
-                        a_reg[r][c - 1]
-                    };
-                    let p_in = if r == 0 { 0.0 } else { p_reg[r - 1][c] };
-                    new_a[r][c] = a_in;
-                    new_p[r][c] = p_in + a_in * w[r][c];
+            // Rows bottom-up, so row r reads row r-1's psum from cycle t-1
+            // before row r-1 overwrites it.
+            for r in (0..kr).rev() {
+                let row = r * nc..(r + 1) * nc;
+                let a_row = &mut a_reg[row.clone()];
+                a_row.copy_within(..nc - 1, 1);
+                // Left edge: skewed feed.
+                a_row[0] =
+                    t.checked_sub(r).filter(|&tt| tt < m).map_or(0.0, |tt| a.get(tt, k0 + r));
+                let (above, here) = p_reg.split_at_mut(r * nc);
+                let pes = here[..nc].iter_mut().zip(a_row.iter().zip(&w[row]));
+                if r == 0 {
+                    for (p, (&a_in, &wv)) in pes {
+                        *p = 0.0 + a_in * wv;
+                    }
+                } else {
+                    for ((p, (&a_in, &wv)), &p_in) in pes.zip(&above[(r - 1) * nc..]) {
+                        *p = p_in + a_in * wv;
+                    }
                 }
             }
-            a_reg = new_a;
-            p_reg = new_p;
             t += 1;
             // After the update at cycle t-1 -> t, the bottom register of
             // column c holds the finished psum for activation row
             // m = t - kr - c when that index is valid.
-            for (c, bottom) in p_reg[kr - 1].iter().enumerate() {
-                let mm = t as i64 - kr as i64 - c as i64;
-                if mm >= 0 && (mm as usize) < m {
-                    let mm = mm as usize;
+            for (c, bottom) in p_reg[(kr - 1) * nc..].iter().enumerate() {
+                if let Some(mm) = t.checked_sub(kr + c).filter(|&mm| mm < m) {
                     out.set(mm, n0 + c, out.get(mm, n0 + c) + bottom);
                     collected += 1;
                 }
             }
         }
-        cycles += t;
-        cycles
+        // Weight load (store-and-forward down all R rows), then the stream.
+        self.rows as u64 + t as u64
     }
 
     /// The SCALE-sim-style analytic cycle count for one fold of this
@@ -181,22 +200,12 @@ impl SystolicSim {
     #[must_use]
     pub fn run_gemm_output_stationary(&self, a: &Matrix, b: &Matrix) -> SystolicRun {
         assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let mut out = Matrix::zeros(m, n);
+        let mut out = Matrix::zeros(a.rows(), b.cols());
         let mut cycles = 0u64;
         let mut folds = 0u64;
-
-        let mut m0 = 0;
-        while m0 < m {
-            let mr = (m - m0).min(self.rows);
-            let mut n0 = 0;
-            while n0 < n {
-                let nc = (n - n0).min(self.cols);
-                cycles += self.run_fold_os(a, b, &mut out, m0, mr, n0, nc, k);
-                folds += 1;
-                n0 += nc;
-            }
-            m0 += mr;
+        for (m0, mr, n0, nc) in self.tiles(a.rows(), b.cols()) {
+            cycles += self.run_fold_os(a, b, &mut out, m0, mr, n0, nc);
+            folds += 1;
         }
         SystolicRun { result: out, cycles, folds }
     }
@@ -212,56 +221,43 @@ impl SystolicSim {
         mr: usize,
         n0: usize,
         nc: usize,
-        k: usize,
     ) -> u64 {
-        // Pipeline registers: a travels right, b travels down, psums stay.
-        let mut a_reg = vec![vec![0.0f32; nc]; mr];
-        let mut b_reg = vec![vec![0.0f32; nc]; mr];
-        let mut acc = vec![vec![0.0f32; nc]; mr];
+        let k = a.cols();
+        // Pipeline registers, row-major `mr x nc`: a travels right, b
+        // travels down, psums stay.
+        let mut a_reg = vec![0.0f32; mr * nc];
+        let mut b_reg = vec![0.0f32; mr * nc];
+        let mut acc = vec![0.0f32; mr * nc];
 
         // PE (r, c) receives a[m0+r][k'] and b[k'][n0+c] simultaneously at
         // cycle k' + r + c; the last PE finishes at (k-1) + (mr-1) + (nc-1).
-        let stream_cycles = (k as u64) + (mr as u64 - 1) + (nc as u64 - 1);
+        let stream_cycles = k + (mr - 1) + (nc - 1);
         for t in 0..stream_cycles {
-            let mut new_a = vec![vec![0.0f32; nc]; mr];
-            let mut new_b = vec![vec![0.0f32; nc]; mr];
-            for r in 0..mr {
-                for c in 0..nc {
-                    let a_in = if c == 0 {
-                        let kk = t as i64 - r as i64;
-                        if kk >= 0 && (kk as usize) < k {
-                            a.get(m0 + r, kk as usize)
-                        } else {
-                            0.0
-                        }
-                    } else {
-                        a_reg[r][c - 1]
-                    };
-                    let b_in = if r == 0 {
-                        let kk = t as i64 - c as i64;
-                        if kk >= 0 && (kk as usize) < k {
-                            b.get(kk as usize, n0 + c)
-                        } else {
-                            0.0
-                        }
-                    } else {
-                        b_reg[r - 1][c]
-                    };
-                    acc[r][c] += a_in * b_in;
-                    new_a[r][c] = a_in;
-                    new_b[r][c] = b_in;
-                }
+            // b moves down one row (one overlapping move, so every row
+            // takes the row above's value from cycle t-1); the top row
+            // takes the column-skewed feed.
+            b_reg.copy_within(..(mr - 1) * nc, nc);
+            for (c, b_in) in b_reg[..nc].iter_mut().enumerate() {
+                *b_in = t.checked_sub(c).filter(|&kk| kk < k).map_or(0.0, |kk| b.get(kk, n0 + c));
             }
-            a_reg = new_a;
-            b_reg = new_b;
+            // a moves right one column; the left edge takes the
+            // row-skewed feed.
+            for (r, a_row) in a_reg.chunks_exact_mut(nc).enumerate() {
+                a_row.copy_within(..nc - 1, 1);
+                a_row[0] =
+                    t.checked_sub(r).filter(|&kk| kk < k).map_or(0.0, |kk| a.get(m0 + r, kk));
+            }
+            for (s, (&a_in, &b_in)) in acc.iter_mut().zip(a_reg.iter().zip(&b_reg)) {
+                *s += a_in * b_in;
+            }
         }
-        for (r, row) in acc.iter().enumerate() {
+        for (r, row) in acc.chunks_exact(nc).enumerate() {
             for (c, v) in row.iter().enumerate() {
                 out.set(m0 + r, n0 + c, out.get(m0 + r, n0 + c) + v);
             }
         }
         // Drain: outputs shift down the columns (mr cycles).
-        stream_cycles + mr as u64
+        (stream_cycles + mr) as u64
     }
 }
 

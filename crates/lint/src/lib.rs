@@ -51,8 +51,10 @@ pub const DETERMINISM_CRITICAL_CRATES: &[&str] =
     &["core", "interconnect", "matrix", "baselines", "energy", "workloads", "telemetry"];
 
 /// Files allowed to contain `unsafe` (lint D4). Today: the counting
-/// global allocator used by the zero-allocation hot-loop test.
-pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/core/tests/alloc_free.rs"];
+/// global allocators of the zero-allocation hot-loop test and the
+/// systolic baselines' allocation-count test.
+pub const UNSAFE_ALLOWLIST: &[&str] =
+    &["crates/core/tests/alloc_free.rs", "crates/baselines/tests/alloc_counts.rs"];
 
 /// Directory names never scanned (vendored shims, build output, lint
 /// test fixtures).
