@@ -51,7 +51,8 @@ use sigma_bench::harness::{
 use sigma_bench::perf::{
     cases, lockstep_check, measure, measure_with, parse_baseline, to_json, PerfMeasurement,
 };
-use sigma_bench::util::{json_string, Table};
+use sigma_bench::util::Table;
+use sigma_telemetry::json::quote;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -437,12 +438,12 @@ fn render_json(
             "    {{\"name\": {}, \"pes\": {}, \"cycles\": {}, \"wall_ms\": {:.3}, \
              \"cycles_per_sec\": {:.1}, \"baseline_cycles_per_sec\": {baseline_field}, \
              \"ratio\": {ratio_field}, \"tolerance\": {tol}, \"verdict\": {}}}{}\n",
-            json_string(m.case.name),
+            quote(m.case.name),
             m.case.pes(),
             m.cycles,
             m.best_secs * 1e3,
             m.cycles_per_sec,
-            json_string(verdict),
+            quote(verdict),
             if i + 1 == measurements.len() { "" } else { "," },
         ));
     }
@@ -522,8 +523,23 @@ fn main() -> ExitCode {
         return run_recorder_check(args.smoke, args.quiet);
     }
 
-    let baseline_text = std::fs::read_to_string(&args.baseline).unwrap_or_default();
-    let baseline = parse_baseline(&baseline_text);
+    // A missing baseline is normal before the first refresh; one that is
+    // there but does not parse fails `--check` rather than reading as
+    // "no baseline".
+    let baseline = match std::fs::read_to_string(&args.baseline) {
+        Err(_) => Vec::new(),
+        Ok(text) => match parse_baseline(&text) {
+            Ok(baseline) => baseline,
+            Err(e) if args.check => {
+                eprintln!("perf_bench: baseline {} does not parse: {e}", args.baseline.display());
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("perf_bench: ignoring baseline {}: {e}", args.baseline.display());
+                Vec::new()
+            }
+        },
+    };
 
     let mut measurements = Vec::with_capacity(ladder.len());
     for case in &ladder {

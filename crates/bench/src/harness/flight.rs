@@ -24,8 +24,9 @@
 //! | `snap`    | one periodic gauge sample                          |
 //! | `span`    | one thread-tagged wall-clock span                  |
 
-use crate::harness::journal::{field, parse_json, write_atomic, Json};
-use crate::util::{json_string, Table};
+use crate::harness::journal::{field, write_atomic};
+use crate::util::Table;
+use sigma_telemetry::json::{self, quote, Json};
 use sigma_telemetry::{
     validate_chrome_trace, ChromeTrace, FlightSnapshot, MetricsReport, ReportHist, SpanRecord,
     Stage, TelemetrySnapshot, TraceSummary,
@@ -54,19 +55,19 @@ pub fn render_event_log(
     let mut out = String::new();
     out.push_str(&format!(
         "{{\"kind\": \"meta\", \"schema\": {FLIGHT_SCHEMA}, \"process\": {}, \"dropped_spans\": {}}}\n",
-        json_string(process),
+        quote(process),
         flight.dropped_spans
     ));
     for (name, v) in &telemetry.counters {
         out.push_str(&format!(
             "{{\"kind\": \"counter\", \"name\": {}, \"value\": {v}}}\n",
-            json_string(name)
+            quote(name)
         ));
     }
     for (name, v) in &flight.gauges {
         out.push_str(&format!(
             "{{\"kind\": \"gauge\", \"name\": {}, \"value\": {v}}}\n",
-            json_string(name)
+            quote(name)
         ));
     }
     for h in telemetry
@@ -78,7 +79,7 @@ pub fn render_event_log(
         let buckets: Vec<String> = h.buckets.iter().map(u64::to_string).collect();
         out.push_str(&format!(
             "{{\"kind\": \"hist\", \"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [{}]}}\n",
-            json_string(&h.name),
+            quote(&h.name),
             h.count,
             h.sum,
             h.max,
@@ -87,7 +88,7 @@ pub fn render_event_log(
     }
     for s in &flight.snaps {
         let gauges: Vec<String> =
-            s.gauges.iter().map(|(n, v)| format!("{}: {v}", json_string(n))).collect();
+            s.gauges.iter().map(|(n, v)| format!("{}: {v}", quote(n))).collect();
         out.push_str(&format!(
             "{{\"kind\": \"snap\", \"ts_us\": {}, \"gauges\": {{{}}}}}\n",
             s.ts_us,
@@ -97,8 +98,8 @@ pub fn render_event_log(
     for sp in &flight.spans {
         out.push_str(&format!(
             "{{\"kind\": \"span\", \"stage\": {}, \"label\": {}, \"thread\": {}, \"start_us\": {}, \"dur_us\": {}}}\n",
-            json_string(sp.stage.name()),
-            json_string(&sp.label),
+            quote(sp.stage.name()),
+            quote(&sp.label),
             sp.thread,
             sp.start_us,
             sp.dur_us
@@ -176,16 +177,12 @@ impl EventLog {
 }
 
 /// Required u64 field on a parsed JSON object.
-fn num(obj: &[(String, Json)], name: &str) -> Result<u64, String> {
-    field(obj, name)?
-        .as_raw()
-        .ok_or_else(|| format!("field {name:?} is not a number"))?
-        .parse::<u64>()
-        .map_err(|e| format!("field {name:?}: {e}"))
+fn num(obj: &Json, name: &str) -> Result<u64, String> {
+    field(obj, name)?.as_u64().ok_or_else(|| format!("field {name:?} is not a u64"))
 }
 
 /// Required string field on a parsed JSON object.
-fn text(obj: &[(String, Json)], name: &str) -> Result<String, String> {
+fn text(obj: &Json, name: &str) -> Result<String, String> {
     Ok(field(obj, name)?
         .as_str()
         .ok_or_else(|| format!("field {name:?} is not a string"))?
@@ -195,8 +192,10 @@ fn text(obj: &[(String, Json)], name: &str) -> Result<String, String> {
 /// Folds one parsed line into the log; the caller turns errors into
 /// warnings so one bad line never loses the rest.
 fn apply_line(log: &mut EventLog, line: &str) -> Result<(), String> {
-    let value = parse_json(line)?;
-    let obj = value.as_object().ok_or("line is not a JSON object")?;
+    let obj = &json::parse(line)?;
+    if obj.as_object().is_none() {
+        return Err("line is not a JSON object".to_string());
+    }
     match text(obj, "kind")?.as_str() {
         "meta" => {
             log.schema = u32::try_from(num(obj, "schema")?)
@@ -217,13 +216,8 @@ fn apply_line(log: &mut EventLog, line: &str) -> Result<(), String> {
                 .as_array()
                 .ok_or("buckets is not an array")?
                 .iter()
-                .map(|b| {
-                    b.as_raw()
-                        .ok_or_else(|| "bucket is not a number".to_string())?
-                        .parse::<u64>()
-                        .map_err(|e| format!("bucket: {e}"))
-                })
-                .collect::<Result<Vec<u64>, String>>()?;
+                .map(|b| b.as_u64().ok_or("bucket is not a u64"))
+                .collect::<Result<Vec<u64>, _>>()?;
             log.hists.push(ReportHist {
                 name: text(obj, "name")?,
                 count: num(obj, "count")?,
@@ -238,11 +232,7 @@ fn apply_line(log: &mut EventLog, line: &str) -> Result<(), String> {
                 .ok_or("gauges is not an object")?
                 .iter()
                 .map(|(name, v)| {
-                    let v = v
-                        .as_raw()
-                        .ok_or_else(|| format!("gauge {name:?} is not a number"))?
-                        .parse::<u64>()
-                        .map_err(|e| format!("gauge {name:?}: {e}"))?;
+                    let v = v.as_u64().ok_or_else(|| format!("gauge {name:?} is not a u64"))?;
                     Ok((name.clone(), v))
                 })
                 .collect::<Result<Vec<(String, u64)>, String>>()?;
@@ -431,6 +421,25 @@ mod tests {
         let report = log.metrics_report();
         assert!(report.to_json().contains("\"cache_hits\": 3"));
         assert!(report.to_prometheus().contains("sigma_cache_hits 3"));
+    }
+
+    #[test]
+    fn odd_metric_names_render_as_valid_json() {
+        let name = "a\"b\\c";
+        let textual = format!(
+            "{{\"kind\": \"meta\", \"schema\": 1, \"process\": \"p\", \"dropped_spans\": 0}}\n\
+             {{\"kind\": \"counter\", \"name\": {q}, \"value\": 7}}\n\
+             {{\"kind\": \"gauge\", \"name\": {q}, \"value\": 8}}\n\
+             {{\"kind\": \"hist\", \"name\": {q}, \"count\": 1, \"sum\": 2, \"max\": 2, \"buckets\": [0, 0, 1]}}\n",
+            q = quote(name)
+        );
+        let log = parse_event_log(&textual);
+        assert!(log.warnings.is_empty(), "{:?}", log.warnings);
+        let doc = json::parse(&log.metrics_report().to_json()).unwrap();
+        assert_eq!(doc.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64), Some(7));
+        assert_eq!(doc.get("gauges").and_then(|g| g.get(name)).and_then(Json::as_u64), Some(8));
+        let hist = &doc.get("histograms").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(hist.get("name").and_then(Json::as_str), Some(name));
     }
 
     #[test]

@@ -40,7 +40,7 @@
 
 use crate::harness::cache::CellKey;
 use crate::harness::record::{RunRecord, RunStatus};
-use crate::util::json_string;
+use sigma_telemetry::json::{self, quote, Json};
 use sigma_telemetry::{FlightRecorder, Stage};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -102,7 +102,7 @@ fn render_line(key: &CellKey, record: &RunRecord) -> String {
     format!(
         "{{\"schema\": {JOURNAL_SCHEMA}, \"key\": \"{}\", \"cell\": {}, \"record\": {}}}\n",
         key.hex(),
-        json_string(key.canonical()),
+        quote(key.canonical()),
         record.to_json()
     )
 }
@@ -284,250 +284,36 @@ enum Parsed {
 /// stored canonical identity and checked against the stored hex — a
 /// mismatch (bit rot, a hand-edited line) is corruption, not an entry.
 fn parse_line(line: &str) -> Result<Parsed, String> {
-    let value = parse_json(line)?;
-    let obj = value.as_object().ok_or("top level is not an object")?;
-    let schema = field(obj, "schema")?
+    let obj = json::parse(line)?;
+    if obj.as_object().is_none() {
+        return Err("top level is not an object".to_string());
+    }
+    let schema = field(&obj, "schema")?
         .as_raw()
         .and_then(|s| s.parse::<u32>().ok())
         .ok_or("schema is not an integer")?;
     if schema != JOURNAL_SCHEMA {
         return Ok(Parsed::StaleSchema(schema));
     }
-    let stored_hex = field(obj, "key")?.as_str().ok_or("key is not a string")?;
-    let canonical = field(obj, "cell")?.as_str().ok_or("cell is not a string")?;
+    let stored_hex = field(&obj, "key")?.as_str().ok_or("key is not a string")?;
+    let canonical = field(&obj, "cell")?.as_str().ok_or("cell is not a string")?;
     let key = CellKey::from_canonical(canonical.to_string());
     if key.hex() != stored_hex {
         return Err(format!(
             "key {stored_hex} does not match the digest of the stored cell identity"
         ));
     }
-    let record_obj = field(obj, "record")?.as_object().ok_or("record is not an object")?;
+    let record_obj = field(&obj, "record")?;
+    if record_obj.as_object().is_none() {
+        return Err("record is not an object".to_string());
+    }
     let record = record_from_obj(record_obj)?;
     Ok(Parsed::Entry(key, Box::new(record)))
 }
 
-/// Minimal JSON value for journal and flight-event-log replay. Numbers
-/// stay raw strings so the caller parses them at full precision into
-/// the right width.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    /// A string literal, unescaped.
-    Str(String),
-    /// A number, kept as its raw source text.
-    Raw(String),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-    /// An array, in source order.
-    Arr(Vec<Json>),
-}
-
-impl Json {
-    pub(crate) fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(kv) => Some(kv),
-            _ => None,
-        }
-    }
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    pub(crate) fn as_raw(&self) -> Option<&str> {
-        match self {
-            Json::Raw(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    pub(crate) fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-pub(crate) fn field<'a>(obj: &'a [(String, Json)], name: &str) -> Result<&'a Json, String> {
-    obj.iter().find(|(k, _)| k == name).map(|(_, v)| v).ok_or(format!("missing field {name:?}"))
-}
-
-/// Hand-rolled parser for the flat-ish JSON the journal and the flight
-/// recorder's event log emit (objects, arrays, strings, numbers,
-/// booleans, null). Errors are short human-readable strings — replay
-/// turns them into warnings.
-pub(crate) fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes = src.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b't') => parse_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null").map(|()| Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at offset {pos}", pos = *pos)),
-        None => Err("unexpected end of input".to_string()),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("malformed literal at offset {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len()
-        && (bytes[*pos].is_ascii_digit() || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    if *pos == start {
-        return Err(format!("empty number at offset {start}"));
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .map(|s| Json::Raw(s.to_string()))
-        .map_err(|_| format!("non-UTF-8 number at offset {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    // Caller guarantees bytes[*pos] == b'"'.
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or("malformed \\u escape")?;
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err("malformed escape".to_string()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences arrive
-                // via String::from_utf8_lossy, so boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    // Caller guarantees bytes[*pos] == b'['.
-    *pos += 1;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    // Caller guarantees bytes[*pos] == b'{'.
-    *pos += 1;
-    let mut kv = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(kv));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at offset {pos}", pos = *pos));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at offset {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        kv.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(kv));
-            }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}", pos = *pos)),
-        }
-    }
+/// The member `name` of a parsed object, or a "missing field" error.
+pub(crate) fn field<'a>(obj: &'a Json, name: &str) -> Result<&'a Json, String> {
+    obj.get(name).ok_or_else(|| format!("missing field {name:?}"))
 }
 
 /// Rebuilds a [`RunRecord`] from its journal JSON object. All numeric
@@ -535,17 +321,17 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 /// shortest representation that parses back to the same bits), with one
 /// documented exception: a non-finite `max_abs_err` is emitted as JSON
 /// `null` and replays as `+inf` — the sentinel every failure record uses.
-fn record_from_obj(obj: &[(String, Json)]) -> Result<RunRecord, String> {
-    fn str_field(obj: &[(String, Json)], name: &str) -> Result<String, String> {
+fn record_from_obj(obj: &Json) -> Result<RunRecord, String> {
+    fn str_field(obj: &Json, name: &str) -> Result<String, String> {
         field(obj, name)?.as_str().map(str::to_string).ok_or(format!("{name} is not a string"))
     }
-    fn num<T: std::str::FromStr>(obj: &[(String, Json)], name: &str) -> Result<T, String> {
+    fn num<T: std::str::FromStr>(obj: &Json, name: &str) -> Result<T, String> {
         field(obj, name)?
             .as_raw()
             .and_then(|s| s.parse::<T>().ok())
             .ok_or(format!("{name} is not a number of the expected width"))
     }
-    fn bool_field(obj: &[(String, Json)], name: &str) -> Result<bool, String> {
+    fn bool_field(obj: &Json, name: &str) -> Result<bool, String> {
         field(obj, name)?.as_bool().ok_or(format!("{name} is not a boolean"))
     }
     let status_name = str_field(obj, "status")?;
@@ -774,20 +560,6 @@ mod tests {
         let replay = replay(&path).unwrap();
         assert!(replay.entries.is_empty());
         assert!(replay.warnings.is_empty());
-    }
-
-    #[test]
-    fn parser_handles_arrays() {
-        let v = parse_json("{\"a\": [1, 2, [\"x\"], {\"b\": true}], \"e\": []}").unwrap();
-        let obj = v.as_object().unwrap();
-        let a = field(obj, "a").unwrap().as_array().unwrap();
-        assert_eq!(a.len(), 4);
-        assert_eq!(a[0].as_raw(), Some("1"));
-        assert_eq!(a[2].as_array().unwrap()[0].as_str(), Some("x"));
-        assert_eq!(field(a[3].as_object().unwrap(), "b").unwrap().as_bool(), Some(true));
-        assert!(field(obj, "e").unwrap().as_array().unwrap().is_empty());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("[1 2]").is_err());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The structured result row every sweep produces, and its CSV/JSON
 //! renderings.
 
-use crate::util::{json_string, Table};
+use crate::util::Table;
 use sigma_core::model::GemmProblem;
 use sigma_core::EngineRun;
+use sigma_telemetry::json::quote;
 
 /// Revision of the [`RunRecord`] layout itself (fields, column order,
 /// rendering). Content keys fold it in, so bumping it when a field is
@@ -377,9 +378,9 @@ impl RunRecord {
     #[must_use]
     pub fn to_json(&self) -> String {
         let kv: Vec<(&str, String)> = vec![
-            ("engine_slug", json_string(&self.engine_slug)),
-            ("engine", json_string(&self.engine)),
-            ("workload", json_string(&self.workload)),
+            ("engine_slug", quote(&self.engine_slug)),
+            ("engine", quote(&self.engine)),
+            ("workload", quote(&self.workload)),
             ("m", self.m.to_string()),
             ("n", self.n.to_string()),
             ("k", self.k.to_string()),
@@ -406,7 +407,7 @@ impl RunRecord {
                 },
             ),
             ("verified", self.verified.to_string()),
-            ("status", json_string(&self.status.to_string())),
+            ("status", quote(&self.status.to_string())),
             ("faults_injected", self.faults_injected.to_string()),
             ("faults_detected", self.faults_detected.to_string()),
             ("faults_corrected", self.faults_corrected.to_string()),
@@ -417,10 +418,9 @@ impl RunRecord {
             ("wall_ms", format!("{:.3}", self.wall_ms)),
             ("attempts", self.attempts.to_string()),
             ("mem_est_bytes", self.mem_est_bytes.to_string()),
-            ("error", self.error.as_deref().map_or_else(|| "null".to_string(), json_string)),
+            ("error", self.error.as_deref().map_or_else(|| "null".to_string(), quote)),
         ];
-        let body: Vec<String> =
-            kv.into_iter().map(|(k, v)| format!("{}: {v}", json_string(k))).collect();
+        let body: Vec<String> = kv.into_iter().map(|(k, v)| format!("{}: {v}", quote(k))).collect();
         format!("{{{}}}", body.join(", "))
     }
 }

@@ -18,6 +18,7 @@ use crate::harness::SiteClass;
 use sigma_core::{Dataflow, GemmRun, SigmaConfig, SigmaError, SigmaSim};
 use sigma_matrix::gen::{sparse_uniform, Density};
 use sigma_matrix::SparseMatrix;
+use sigma_telemetry::json::{self, Json};
 use std::time::Instant;
 
 /// One benchmark workload: a SIGMA geometry plus a GEMM shape/density.
@@ -336,9 +337,8 @@ pub fn measure_with(
     Ok(PerfMeasurement { case: *case, cycles, best_secs, cycles_per_sec, reps })
 }
 
-/// Renders measurements as the `BENCH_sim.json` baseline. One case per
-/// line so [`parse_baseline`] can stay a dependency-free line scanner;
-/// `cycles_per_sec` is emitted in fixed-point notation for the same reason.
+/// Renders measurements as the `BENCH_sim.json` baseline, one case
+/// object per line; [`parse_baseline`] reads it back.
 #[must_use]
 pub fn to_json(measurements: &[PerfMeasurement]) -> String {
     let mut out = String::from("{\n  \"schema\": 1,\n  \"bench\": \"sim_cycles_per_second\",\n");
@@ -368,36 +368,29 @@ pub fn to_json(measurements: &[PerfMeasurement]) -> String {
     out
 }
 
-/// Extracts `(name, cycles_per_sec)` pairs from a `BENCH_sim.json`
-/// produced by [`to_json`]. A hand-rolled scanner (no serde in this
-/// workspace): one case object per line, scanned for the `"name"` and
-/// `"cycles_per_sec"` fields.
-#[must_use]
-pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(name) = field_str(line, "name") else { continue };
-        let Some(cps) = field_f64(line, "cycles_per_sec") else { continue };
-        out.push((name, cps));
-    }
-    out
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
-fn field_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Extracts `(name, cycles_per_sec)` pairs, in file order, from a
+/// `BENCH_sim.json` produced by [`to_json`].
+///
+/// # Errors
+///
+/// Returns the parse error, or names what is missing when the document
+/// has no `cases` array or a case lacks its `name` or `cycles_per_sec`.
+pub fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = json::parse(text)?;
+    let cases = doc.get("cases").and_then(Json::as_array).ok_or("no \"cases\" array")?;
+    cases
+        .iter()
+        .enumerate()
+        .map(|(i, case)| {
+            let name =
+                case.get("name").and_then(Json::as_str).ok_or(format!("case {i} has no name"))?;
+            let cps = case
+                .get("cycles_per_sec")
+                .and_then(Json::as_f64)
+                .ok_or(format!("case {name:?} has no cycles_per_sec"))?;
+            Ok((name.to_string(), cps))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -445,21 +438,46 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_through_the_scanner() {
-        let c = cases().into_iter().find(|c| c.name == "dense_128").unwrap();
-        let m = PerfMeasurement {
-            case: c,
-            cycles: 1234,
-            best_secs: 0.5,
-            cycles_per_sec: 2468.0,
-            reps: 3,
-        };
-        let json = to_json(&[m]);
-        let parsed = parse_baseline(&json);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].0, "dense_128");
-        assert!((parsed[0].1 - 2468.0).abs() < 0.1);
+    fn baseline_round_trips_through_the_parser() {
+        let ms: Vec<PerfMeasurement> = cases()
+            .into_iter()
+            .enumerate()
+            .map(|(i, case)| {
+                let cycles = 1000 + i as u64;
+                let best_secs = 0.5 / (i + 1) as f64;
+                PerfMeasurement {
+                    case,
+                    cycles,
+                    best_secs,
+                    cycles_per_sec: cycles as f64 / best_secs,
+                    reps: 3,
+                }
+            })
+            .collect();
+        let json = to_json(&ms);
+        let parsed = parse_baseline(&json).unwrap();
+        assert_eq!(parsed.len(), ms.len());
+        for ((name, cps), m) in parsed.iter().zip(&ms) {
+            assert_eq!(name, m.case.name);
+            // `to_json` keeps one decimal of cycles/sec.
+            assert!(
+                (cps - m.cycles_per_sec).abs() <= 0.05,
+                "{name}: {cps} vs {}",
+                m.cycles_per_sec
+            );
+        }
         assert!(json.contains("\"sched\": \"event\""), "baseline records the scheduler mode");
+    }
+
+    #[test]
+    fn committed_baseline_parses_to_its_cases() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let parsed = parse_baseline(&text).unwrap();
+        let names: Vec<&str> = parsed.iter().map(|(n, _)| n.as_str()).collect();
+        let ladder: Vec<&str> = cases().iter().map(|c| c.name).collect();
+        assert_eq!(names, ladder);
+        assert!(parsed.iter().all(|(_, cps)| *cps > 0.0));
     }
 
     #[test]
@@ -478,10 +496,18 @@ mod tests {
     }
 
     #[test]
-    fn scanner_ignores_non_case_lines() {
-        assert!(parse_baseline("{\n  \"schema\": 1\n}\n").is_empty());
-        assert_eq!(field_f64("\"cycles_per_sec\": 12.5}", "cycles_per_sec"), Some(12.5));
-        assert_eq!(field_str("{\"name\": \"x\"}", "name").as_deref(), Some("x"));
-        assert_eq!(field_str("no fields here", "name"), None);
+    fn malformed_baselines_are_errors() {
+        assert!(parse_baseline("{\n  \"schema\": 1\n}\n").unwrap_err().contains("cases"));
+        assert!(parse_baseline("{\"cases\": [{\"name\": \"x\"}]}").unwrap_err().contains("\"x\""));
+        // A truncated file used to scan as the cases before the cut.
+        let m = PerfMeasurement {
+            case: cases()[0],
+            cycles: 10,
+            best_secs: 1.0,
+            cycles_per_sec: 10.0,
+            reps: 1,
+        };
+        let full = to_json(&[m]);
+        assert!(parse_baseline(&full[..full.len() - 4]).is_err());
     }
 }

@@ -1,5 +1,7 @@
 //! Small shared helpers for the experiment binaries.
 
+use sigma_telemetry::json::quote;
+
 /// A rendered experiment table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
@@ -81,7 +83,7 @@ impl Table {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"title\": {},\n", json_string(&self.title)));
+        out.push_str(&format!("  \"title\": {},\n", quote(&self.title)));
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             out.push_str("    {");
@@ -89,7 +91,7 @@ impl Table {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("{}: {}", json_string(h), json_string(c)));
+                out.push_str(&format!("{}: {}", quote(h), quote(c)));
             }
             out.push_str(if i + 1 < self.rows.len() { "},\n" } else { "}\n" });
         }
@@ -158,26 +160,6 @@ impl std::fmt::Display for RowWidthError {
 }
 
 impl std::error::Error for RowWidthError {}
-
-/// Quotes and escapes a string as a JSON string literal.
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
 
 /// Geometric mean of a slice of positive values.
 ///
@@ -288,7 +270,8 @@ mod tests {
         let j = t.to_json();
         assert!(j.contains("\"title\": \"T \\\"quoted\\\"\""));
         assert!(j.contains("{\"x\": \"a\\nb\", \"y\": \"c\"}"));
-        assert_eq!(json_string("tab\there"), "\"tab\\there\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        // The shared parser reads it back.
+        let doc = sigma_telemetry::json::parse(&j).unwrap();
+        assert_eq!(doc.get("title").and_then(|t| t.as_str()), Some("T \"quoted\""));
     }
 }

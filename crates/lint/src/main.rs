@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p sigma-lint                 # human-readable report, exit 1 on findings
 //! cargo run -p sigma-lint -- --json      # machine-readable report on stdout
-//! cargo run -p sigma-lint -- --sarif    # SARIF 2.1.0 log (GitHub PR annotations)
+//! cargo run -p sigma-lint -- --sarif    # SARIF 2.1.0 log (GitHub PR annotations), shape-checked
 //! cargo run -p sigma-lint -- --check-waivers   # also fail on stale/over-budget waivers
 //! cargo run -p sigma-lint -- --root PATH # scan a different workspace root
 //! ```
@@ -48,7 +48,8 @@ fn main() -> ExitCode {
                      path/lint/reason; empty reasons are rejected; --check-waivers\n\
                      enforces a budget of {} waivers).\n\
                      Exit codes: 0 clean, 1 unwaived findings (or stale/over-budget\n\
-                     waivers with --check-waivers), 2 usage or I/O error.",
+                     waivers with --check-waivers), 2 usage or I/O error, or a\n\
+                     --sarif log that fails its own shape check.",
                     sigma_lint::WAIVER_BUDGET
                 );
                 return ExitCode::SUCCESS;
@@ -70,7 +71,14 @@ fn main() -> ExitCode {
     };
 
     if sarif {
-        print!("{}", sigma_lint::report_to_sarif(&report));
+        // The log goes straight to GitHub's upload action: check its shape
+        // here so a malformed log fails the run instead of the upload.
+        let log = sigma_lint::report_to_sarif(&report);
+        if let Err(e) = sigma_lint::sarif::validate_sarif_2_1_0(&log) {
+            eprintln!("sigma-lint: the SARIF log fails its own 2.1.0 shape check: {e}");
+            return ExitCode::from(2);
+        }
+        print!("{log}");
     } else if json {
         print!("{}", sigma_lint::report_to_json(&report));
     } else {

@@ -30,9 +30,11 @@
 //! never heard of it (asserted by `perf_bench --recorder-check`).
 
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use crate::json::quote;
 use crate::registry::{bucket_ceil, bucket_floor, bucket_of, HistCells, HIST_BUCKETS};
 use crate::{HistSummary, TelemetrySnapshot};
 
@@ -544,36 +546,13 @@ impl MetricsReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let s = self.sorted();
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, v)) in s.counters.iter().enumerate() {
-            out.push_str(&format!("{}\"{name}\": {v}", if i == 0 { "" } else { ", " }));
-        }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (name, v)) in s.gauges.iter().enumerate() {
-            out.push_str(&format!("{}\"{name}\": {v}", if i == 0 { "" } else { ", " }));
-        }
-        out.push_str("},\n  \"histograms\": [\n");
-        for (i, h) in s.hists.iter().enumerate() {
-            let nonzero: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(bi, &n)| format!("{{\"ge\": {}, \"count\": {n}}}", bucket_floor(bi)))
-                .collect();
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"mean\": {:.3}, \"buckets\": [{}]}}{}\n",
-                h.name,
-                h.count,
-                h.sum,
-                h.max,
-                h.mean(),
-                nonzero.join(", "),
-                if i + 1 < s.hists.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
+        let mut out = String::from("{\n  \"counters\": ");
+        push_counts_json(&mut out, &s.counters);
+        out.push_str(",\n  \"gauges\": ");
+        push_counts_json(&mut out, &s.gauges);
+        out.push_str(",\n");
+        push_histograms_json(&mut out, &s.hists);
+        out.push_str("}\n");
         out
     }
 
@@ -609,6 +588,44 @@ impl MetricsReport {
         }
         out
     }
+}
+
+/// Appends `{"name": value, ...}` on one line, names quoted.
+pub(crate) fn push_counts_json<N: AsRef<str>>(out: &mut String, entries: &[(N, u64)]) {
+    out.push('{');
+    for (i, (name, v)) in entries.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}{}: {v}", quote(name.as_ref()));
+    }
+    out.push('}');
+}
+
+/// Appends the `"histograms"` member both JSON exports share: one object
+/// per histogram, non-empty buckets only, keyed by their lower edge.
+pub(crate) fn push_histograms_json(out: &mut String, hists: &[ReportHist]) {
+    out.push_str("  \"histograms\": [\n");
+    for (i, h) in hists.iter().enumerate() {
+        let nonzero: Vec<String> = h
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(bi, &n)| format!("{{\"ge\": {}, \"count\": {n}}}", bucket_floor(bi)))
+            .collect();
+        let _ = writeln!(
+            out,
+            "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \
+             \"mean\": {:.3}, \"buckets\": [{}]}}{}",
+            quote(&h.name),
+            h.count,
+            h.sum,
+            h.max,
+            h.mean(),
+            nonzero.join(", "),
+            if i + 1 < hists.len() { "," } else { "" },
+        );
+    }
+    out.push_str("  ]\n");
 }
 
 #[cfg(test)]

@@ -15,10 +15,11 @@
 //! pre-sized `AtomicU64` arrays: recording takes `&self`, never
 //! allocates, and is safe from the `Send + Sync` engine fleet.
 //!
-//! The workspace has no registry access (and no serde), so the exporter
-//! in [`perfetto`] hand-rolls the Chrome trace-event JSON and ships its
-//! own scanner-based validator, mirroring how `BENCH_sim.json` is
-//! produced and re-parsed in `sigma-bench`.
+//! The workspace has no registry access (and no serde), so this leaf
+//! crate also owns the one JSON codec the whole workspace shares:
+//! [`json::parse`] reads every JSON document the program reads back
+//! (journal, run cache, event logs, Chrome traces, `BENCH_sim.json`,
+//! SARIF), and [`json::quote`] escapes every string the emitters write.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(
@@ -35,6 +36,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod flight;
+pub mod json;
 pub mod perfetto;
 pub mod registry;
 

@@ -9,6 +9,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::flight::{push_counts_json, push_histograms_json, ReportHist};
+
 /// Monotonic event counters recorded by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
@@ -424,34 +426,12 @@ impl TelemetrySnapshot {
     /// byte-identically.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"enabled\": {},\n", self.enabled));
-        out.push_str("  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            out.push_str(&format!("{}\"{name}\": {v}", if i == 0 { "" } else { ", " }));
-        }
-        out.push_str("},\n  \"histograms\": [\n");
-        for (i, h) in self.hists.iter().enumerate() {
-            let nonzero: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(bi, &n)| format!("{{\"ge\": {}, \"count\": {n}}}", bucket_floor(bi)))
-                .collect();
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"max\": {}, \
-                 \"mean\": {:.3}, \"buckets\": [{}]}}{}\n",
-                h.name,
-                h.count,
-                h.sum,
-                h.max,
-                h.mean(),
-                nonzero.join(", "),
-                if i + 1 < self.hists.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
+        let mut out = format!("{{\n  \"enabled\": {},\n  \"counters\": ", self.enabled);
+        push_counts_json(&mut out, &self.counters);
+        out.push_str(",\n");
+        let hists: Vec<ReportHist> = self.hists.iter().map(ReportHist::from).collect();
+        push_histograms_json(&mut out, &hists);
+        out.push_str("}\n");
         out
     }
 }
